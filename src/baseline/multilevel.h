@@ -1,6 +1,8 @@
 // Multilevel hypergraph partitioner: the in-repo comparator standing in for
-// Zoltan / Parkway / Mondriaan / hMetis (all unavailable offline; see
-// DESIGN.md substitution 3). Classic three phases per bisection:
+// Zoltan / Parkway / Mondriaan / hMetis (all unavailable offline; the
+// quality and runtime tables in bench/table2_quality.cc and
+// bench/table3_runtime.cc run it in their place). Classic three phases per
+// bisection:
 //
 //   coarsen   — heavy-edge matching on the clique-net expansion until the
 //               hypergraph is small,

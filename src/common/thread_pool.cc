@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -107,7 +106,11 @@ void ThreadPool::ParallelFor(
     fn(0, n, 0);
     return;
   }
-  std::atomic<std::size_t> remaining{workers};
+  // The counter, mutex and condition variable live on this stack frame, so
+  // the caller must not see the count reach 0 before the last worker is
+  // done touching them: the decrement and the notify both happen under the
+  // lock, and the caller re-checks the count only while holding it.
+  std::size_t remaining = workers;  // guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
   const std::size_t chunk = (n + workers - 1) / workers;
@@ -116,14 +119,12 @@ void ThreadPool::ParallelFor(
     const std::size_t end = std::min(n, begin + chunk);
     Submit([&, begin, end, w] {
       if (begin < end) fn(begin, end, w);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 void ThreadPool::ParallelForEach(std::size_t n,

@@ -1,6 +1,7 @@
 #include "core/move_broker.h"
 
 #include <algorithm>
+#include <ranges>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -9,15 +10,6 @@
 #include "core/proposal_matrix.h"
 
 namespace shp {
-
-namespace {
-
-uint64_t PackPair(BucketId a, BucketId b) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-         static_cast<uint32_t>(b);
-}
-
-}  // namespace
 
 void MoveBroker::CollectNetMoves(const std::vector<VertexId>& moved,
                                  const std::vector<BucketId>& original_bucket,
@@ -45,6 +37,26 @@ void MoveBroker::TrimToBudget(uint64_t budget,
                    });
   movers->resize(budget);
   std::sort(movers->begin(), movers->end());
+}
+
+void MoveBroker::ExecuteMoves(const MoveTopology& topo, uint64_t budget,
+                              const std::vector<BucketId>& targets,
+                              const std::vector<double>& gains,
+                              std::vector<VertexId>* movers,
+                              std::vector<BucketId>* original,
+                              Partition* partition, MoveOutcome* outcome) {
+  // Per-round move budget (partition stability): keep only the highest-gain
+  // drawn movers. Applied before execution, so post-repair executed moves
+  // can only be fewer.
+  TrimToBudget(budget, gains, movers);
+  for (const VertexId v : *movers) {
+    (*original)[v] = partition->bucket_of(v);
+    partition->Move(v, targets[v]);
+    ++outcome->num_moved;
+    outcome->gain_moved += gains[v];
+  }
+  RepairBalance(topo, *movers, *original, gains, partition, outcome);
+  CollectNetMoves(*movers, *original, *partition, outcome);
 }
 
 MoveOutcome MoveBroker::Apply(const MoveTopology& topo,
@@ -224,19 +236,9 @@ MoveOutcome MoveBroker::ApplyPlain(const MoveTopology& topo,
   for (VertexId v = 0; v < n; ++v) {
     if (decided[v]) moved.push_back(v);
   }
-  // Per-round move budget (partition stability): keep only the
-  // highest-gain drawn movers. Applied before execution, so post-repair
-  // executed moves can only be fewer.
-  TrimToBudget(options_.max_moves_per_round, gains, &moved);
-  std::vector<BucketId> original(n, -1);
-  for (VertexId v : moved) {
-    original[v] = partition->bucket_of(v);
-    partition->Move(v, targets[v]);
-    ++outcome.num_moved;
-    outcome.gain_moved += gains[v];
-  }
-  RepairBalance(topo, moved, original, gains, partition, &outcome);
-  CollectNetMoves(moved, original, *partition, &outcome);
+  if (original_.size() < n) original_.assign(n, -1);
+  ExecuteMoves(topo, options_.max_moves_per_round, targets, gains, &moved,
+               &original_, partition, &outcome);
   return outcome;
 }
 
@@ -262,8 +264,8 @@ std::unordered_set<uint64_t> PairProbabilityTable::LivePairKeys() const {
 
 PairProbabilityTable ComputePairProbabilities(
     const MoveTopology& topo, const GainBinning& binning,
-    const std::unordered_map<uint64_t, DirectedGainHistogram>& histograms,
-    const Partition& partition, bool use_capacity_slack) {
+    const PairHistograms::Map& histograms, const Partition& partition,
+    bool use_capacity_slack) {
   // Match each unordered pair once, in deterministic key order.
   std::vector<uint64_t> keys;
   keys.reserve(histograms.size());
@@ -281,8 +283,8 @@ PairProbabilityTable ComputePairProbabilities(
     const auto it_bwd = histograms.find(PackPair(j, i));
     DirectedGainHistogram fwd;
     DirectedGainHistogram bwd;
-    if (it_fwd != histograms.end()) fwd = it_fwd->second;
-    if (it_bwd != histograms.end()) bwd = it_bwd->second;
+    if (it_fwd != histograms.end()) fwd = it_fwd->second.hist;
+    if (it_bwd != histograms.end()) bwd = it_bwd->second.hist;
     if (fwd.counts.empty()) fwd.Init(binning);
     if (bwd.counts.empty()) bwd.Init(binning);
     PairMoveProbabilities match = MatchHistograms(binning, fwd, bwd);
@@ -303,7 +305,7 @@ PairProbabilityTable ComputePairProbabilities(
     for (uint64_t key : keys) {
       const BucketId to = static_cast<BucketId>(key & 0xffffffffULL);
       auto& probs = table.probabilities[key];
-      const auto& counts = histograms.at(key).counts;
+      const auto& counts = histograms.at(key).hist.counts;
       double& budget = slack[static_cast<size_t>(to)];
       for (int bin = binning.num_bins() - 1; bin > binning.zero_bin();
            --bin) {
@@ -324,31 +326,69 @@ PairProbabilityTable ComputePairProbabilities(
   return table;
 }
 
-void MoveBroker::UpdateHistContribution(VertexId v,
-                                        const std::vector<BucketId>& targets,
-                                        const std::vector<double>& gains,
-                                        const Partition& partition) {
-  const uint64_t old_pair = hist_last_pair_[v];
-  if (old_pair != kNoPair) {
-    const auto it = hist_state_.find(old_pair);
-    SHP_DCHECK(it != hist_state_.end());
-    const size_t bin = static_cast<size_t>(hist_last_bin_[v]);
+void PairHistograms::Update(VertexId v, const std::vector<BucketId>& targets,
+                            const std::vector<double>& gains,
+                            const Partition& partition,
+                            HistogramContributions* last) {
+  uint64_t& last_pair = last->pair[v];
+  if (last_pair != HistogramContributions::kNoPair) {
+    const auto it = pairs_.find(last_pair);
+    SHP_DCHECK(it != pairs_.end());
+    const size_t bin = static_cast<size_t>(last->bin[v]);
     SHP_DCHECK(it->second.hist.counts[bin] > 0);
     --it->second.hist.counts[bin];  // DirectedGainHistogram has no Remove
-    --it->second.total;
-    --hist_live_proposals_;
-    hist_last_pair_[v] = kNoPair;
+    if (--it->second.total == 0) pairs_.erase(it);
+    --num_proposals_;
+    last_pair = HistogramContributions::kNoPair;
   }
   if (targets[v] < 0) return;
-  const uint64_t pair = PackPair(partition.bucket_of(v), targets[v]);
-  PairState& state = hist_state_[pair];
-  if (state.hist.counts.empty()) state.hist.Init(options_.binning);
-  const int bin = options_.binning.BinFor(gains[v]);
-  ++state.hist.counts[static_cast<size_t>(bin)];
-  ++state.total;
-  ++hist_live_proposals_;
-  hist_last_pair_[v] = pair;
-  hist_last_bin_[v] = bin;
+  const uint64_t key = PackPair(partition.bucket_of(v), targets[v]);
+  Pair& pair = pairs_[key];
+  if (pair.hist.counts.empty()) pair.hist.Init(binning_);
+  const int bin = binning_.BinFor(gains[v]);
+  ++pair.hist.counts[static_cast<size_t>(bin)];
+  ++pair.total;
+  ++num_proposals_;
+  last_pair = key;
+  last->bin[v] = bin;
+}
+
+void PairHistograms::Merge(const PairHistograms& other) {
+  for (const auto& [key, pair] : other.pairs_) {
+    Pair& merged = pairs_[key];
+    if (merged.hist.counts.empty()) merged.hist.Init(binning_);
+    for (size_t bin = 0; bin < pair.hist.counts.size(); ++bin) {
+      merged.hist.counts[bin] += pair.hist.counts[bin];
+    }
+    merged.total += pair.total;
+  }
+  num_proposals_ += other.num_proposals_;
+}
+
+MoveBroker::HistogramDraw::HistogramDraw(const MoveBrokerOptions& options,
+                                         const PairProbabilityTable& table,
+                                         uint64_t seed, uint64_t iteration)
+    : options_(options),
+      table_(table),
+      live_pairs_(options.skip_zero_probability_pairs
+                      ? table.LivePairKeys()
+                      : std::unordered_set<uint64_t>{}),
+      seed_(seed),
+      iteration_(iteration) {}
+
+bool MoveBroker::HistogramDraw::Moves(VertexId v, BucketId from,
+                                      BucketId target, double gain,
+                                      uint64_t* draws) const {
+  if (options_.skip_zero_probability_pairs &&
+      live_pairs_.count(PackPair(from, target)) == 0) {
+    return false;
+  }
+  ++*draws;
+  const double prob =
+      std::min(table_.Lookup(options_.binning, from, target, gain),
+               options_.max_move_probability) *
+      options_.probability_damping;
+  return HashToUnitDouble(seed_ ^ 0x5108e77a, iteration_, v) < prob;
 }
 
 MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
@@ -360,99 +400,44 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
   const VertexId n = partition->num_data();
   SHP_CHECK_EQ(targets.size(), n);
   MoveOutcome outcome;
-  const GainBinning& binning = options_.binning;
 
   // Directed gain histograms per ordered bucket pair (the master state;
   // O(#occupied pairs × bins) memory, k²·bins worst case as in the paper).
   // Maintained incrementally when the caller hands a changed-proposal list:
   // only the listed vertices' contributions are re-derived — O(|changed|)
   // counter updates instead of the O(n) re-accumulation.
-  const bool incremental = changed != nullptr && hist_state_valid_ &&
-                           hist_last_pair_.size() == static_cast<size_t>(n);
-  if (incremental) {
+  const auto all = std::views::iota(VertexId{0}, n);
+  if (changed != nullptr && hist_valid_ &&
+      contributions_.pair.size() == static_cast<size_t>(n)) {
     for (const VertexId v : *changed) {
-      UpdateHistContribution(v, targets, gains, *partition);
+      hist_.Update(v, targets, gains, *partition, &contributions_);
     }
   } else {
-    hist_state_.clear();
-    hist_last_pair_.assign(static_cast<size_t>(n), kNoPair);
-    hist_last_bin_.assign(static_cast<size_t>(n), 0);
-    hist_live_proposals_ = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      UpdateHistContribution(v, targets, gains, *partition);
-    }
-    hist_state_valid_ = true;
+    contributions_.Reset(n);
+    hist_.Rebuild(all, targets, gains, *partition, &contributions_);
+    hist_valid_ = true;
   }
-  outcome.num_proposals = hist_live_proposals_;
-
-  // Materialize the pruned live map for the shared master computation (and
-  // drop emptied pairs so stale bucket pairs never accumulate).
-  std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
-  histograms.reserve(hist_state_.size());
-  for (auto it = hist_state_.begin(); it != hist_state_.end();) {
-    if (it->second.total == 0) {
-      it = hist_state_.erase(it);
-      continue;
-    }
-    histograms.emplace(it->first, it->second.hist);
-    ++it;
-  }
-
 #ifndef NDEBUG
-  {
-    // The incrementally patched histograms must equal a from-scratch
-    // accumulation — the changed-proposal-vs-full-histogram equivalence
-    // gate.
-    std::unordered_map<uint64_t, DirectedGainHistogram> ref;
-    uint64_t ref_proposals = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      if (targets[v] < 0) continue;
-      ++ref_proposals;
-      auto& h = ref[PackPair(partition->bucket_of(v), targets[v])];
-      if (h.counts.empty()) h.Init(binning);
-      h.Add(binning, gains[v]);
-    }
-    SHP_CHECK_EQ(ref_proposals, outcome.num_proposals);
-    SHP_CHECK_EQ(ref.size(), histograms.size());
-    for (const auto& [key, h] : ref) {
-      const auto it = histograms.find(key);
-      SHP_CHECK(it != histograms.end() && it->second.counts == h.counts)
-          << "incremental histogram diverged from full accumulation (pair "
-          << (key >> 32) << "->" << (key & 0xffffffffULL) << ")";
-    }
-  }
+  hist_.CheckAgainstRebuild(all, targets, gains, *partition);
 #endif
+  outcome.num_proposals = hist_.num_proposals();
 
-  const PairProbabilityTable table = ComputePairProbabilities(
-      topo, binning, histograms, *partition, options_.use_capacity_slack);
+  const PairProbabilityTable table =
+      ComputePairProbabilities(topo, options_.binning, hist_.pairs(),
+                               *partition, options_.use_capacity_slack);
 
-  // Superstep 4: probabilistic simultaneous moves. Draw floor: a proposal
-  // whose pair row is all zero draws against probability 0 in every bin —
-  // it can never fire, so skipping the hash leaves the trajectory unchanged
-  // while the draw scan shrinks to the pairs the master matched.
-  const std::unordered_set<uint64_t> live_pairs =
-      options_.skip_zero_probability_pairs
-          ? table.LivePairKeys()
-          : std::unordered_set<uint64_t>{};
-  const bool skip_dead = options_.skip_zero_probability_pairs;
+  // Superstep 4: probabilistic simultaneous moves.
+  const HistogramDraw draw(options_, table, seed, iteration);
   std::vector<uint8_t> decided(n, 0);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
   std::vector<uint64_t> draws_per_worker(num_workers, 0);
   pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
     uint64_t draws = 0;
-    for (size_t v = begin; v < end; ++v) {
+    for (size_t vi = begin; vi < end; ++vi) {
+      const VertexId v = static_cast<VertexId>(vi);
       if (targets[v] < 0) continue;
-      const BucketId from =
-          partition->bucket_of(static_cast<VertexId>(v));
-      if (skip_dead && live_pairs.count(PackPair(from, targets[v])) == 0) {
-        continue;
-      }
-      ++draws;
-      const double prob =
-          std::min(table.Lookup(binning, from, targets[v], gains[v]),
-                   options_.max_move_probability) *
-          options_.probability_damping;
-      if (HashToUnitDouble(seed ^ 0x5108e77a, iteration, v) < prob) {
+      if (draw.Moves(v, partition->bucket_of(v), targets[v], gains[v],
+                     &draws)) {
         decided[v] = 1;
       }
     }
@@ -464,19 +449,9 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
   for (VertexId v = 0; v < n; ++v) {
     if (decided[v]) moved.push_back(v);
   }
-  // Per-round move budget (partition stability): keep only the
-  // highest-gain drawn movers. Applied before execution, so post-repair
-  // executed moves can only be fewer.
-  TrimToBudget(options_.max_moves_per_round, gains, &moved);
-  std::vector<BucketId> original(n, -1);
-  for (VertexId v : moved) {
-    original[v] = partition->bucket_of(v);
-    partition->Move(v, targets[v]);
-    ++outcome.num_moved;
-    outcome.gain_moved += gains[v];
-  }
-  RepairBalance(topo, moved, original, gains, partition, &outcome);
-  CollectNetMoves(moved, original, *partition, &outcome);
+  if (original_.size() < n) original_.assign(n, -1);
+  ExecuteMoves(topo, options_.max_moves_per_round, targets, gains, &moved,
+               &original_, partition, &outcome);
   return outcome;
 }
 

@@ -20,6 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/gain_histogram.h"
 #include "core/move_topology.h"
 #include "core/partition.h"
@@ -105,18 +106,103 @@ struct PairProbabilityTable {
   std::unordered_set<uint64_t> LivePairKeys() const;
 };
 
+/// Each data vertex's current superstep-3 histogram contribution (pair key
+/// and gain bin). One n-sized set per engine, shared by all of that
+/// engine's PairHistograms: a vertex contributes to at most one of them.
+struct HistogramContributions {
+  static constexpr uint64_t kNoPair = ~0ull;  ///< not contributing
+  std::vector<uint64_t> pair;
+  std::vector<int32_t> bin;
+
+  void Reset(size_t n) {
+    pair.assign(n, kNoPair);
+    bin.assign(n, 0);
+  }
+};
+
+/// The superstep-3 master state under histogram matching: directed gain
+/// histograms per bucket pair (packed (from << 32) | to), kept across rounds
+/// and patched per changed proposal — two counter updates instead of a term
+/// in an O(n) re-accumulation. Emptied pairs are dropped at once, so pairs()
+/// holds exactly the live ones. The threaded MoveBroker keeps one; the BSP
+/// engine keeps one per worker (each worker uploads its own) and merges
+/// them at the master.
+class PairHistograms {
+ public:
+  struct Pair {
+    DirectedGainHistogram hist;
+    uint64_t total = 0;  ///< proposals counted in hist
+  };
+  using Map = std::unordered_map<uint64_t, Pair>;
+
+  explicit PairHistograms(const GainBinning& binning) : binning_(binning) {}
+
+  const Map& pairs() const { return pairs_; }
+  uint64_t num_proposals() const { return num_proposals_; }
+
+  /// Re-derives v's contribution from its proposal (targets[v] < 0: none):
+  /// removes the one recorded in *last and adds the current one.
+  /// Idempotent, so a vertex may be listed twice.
+  void Update(VertexId v, const std::vector<BucketId>& targets,
+              const std::vector<double>& gains, const Partition& partition,
+              HistogramContributions* last);
+
+  /// Drops every pair and re-accumulates the contributions of `vertices`.
+  template <typename Vertices>
+  void Rebuild(const Vertices& vertices, const std::vector<BucketId>& targets,
+               const std::vector<double>& gains, const Partition& partition,
+               HistogramContributions* last) {
+    pairs_.clear();
+    num_proposals_ = 0;
+    for (const VertexId v : vertices) {
+      last->pair[v] = HistogramContributions::kNoPair;
+      Update(v, targets, gains, partition, last);
+    }
+  }
+
+  /// Adds another instance's counts (the BSP master merging the uploads).
+  void Merge(const PairHistograms& other);
+
+  /// Debug cross-check: the patched histograms must equal a from-scratch
+  /// accumulation of the current proposals of `vertices`.
+  template <typename Vertices>
+  void CheckAgainstRebuild(const Vertices& vertices,
+                           const std::vector<BucketId>& targets,
+                           const std::vector<double>& gains,
+                           const Partition& partition) const {
+    PairHistograms fresh(binning_);
+    HistogramContributions scratch;
+    scratch.Reset(targets.size());
+    fresh.Rebuild(vertices, targets, gains, partition, &scratch);
+    SHP_CHECK_EQ(fresh.num_proposals_, num_proposals_);
+    SHP_CHECK_EQ(fresh.pairs_.size(), pairs_.size());
+    for (const auto& [key, pair] : fresh.pairs_) {
+      const auto it = pairs_.find(key);
+      SHP_CHECK(it != pairs_.end() && it->second.hist.counts == pair.hist.counts)
+          << "incremental histogram diverged from full accumulation (pair "
+          << (key >> 32) << "->" << (key & 0xffffffffULL) << ")";
+    }
+  }
+
+ private:
+  GainBinning binning_;
+  Map pairs_;
+  uint64_t num_proposals_ = 0;
+};
+
 /// The master computation of supersteps 3-4 under histogram matching:
 /// matches the two directed histograms of every bucket pair and (optionally)
 /// spends spare capacity on unmatched positive bins (§3.4 imbalanced swaps).
 /// Shared between the threaded MoveBroker and the BSP master.
 PairProbabilityTable ComputePairProbabilities(
     const MoveTopology& topo, const GainBinning& binning,
-    const std::unordered_map<uint64_t, DirectedGainHistogram>& histograms,
-    const Partition& partition, bool use_capacity_slack);
+    const PairHistograms::Map& histograms, const Partition& partition,
+    bool use_capacity_slack);
 
 class MoveBroker {
  public:
-  explicit MoveBroker(MoveBrokerOptions options) : options_(options) {}
+  explicit MoveBroker(MoveBrokerOptions options)
+      : options_(options), hist_(options.binning) {}
 
   const MoveBrokerOptions& options() const { return options_; }
 
@@ -147,29 +233,49 @@ class MoveBroker {
                     ThreadPool* pool = nullptr,
                     const std::vector<VertexId>* changed = nullptr);
 
-  /// Reverts lowest-gain surplus moves of over-capacity buckets until every
-  /// bucket fits its capacity (or nothing is left to revert). Public so the
-  /// BSP master can apply the identical repair.
-  static void RepairBalance(const MoveTopology& topo,
-                            const std::vector<VertexId>& moved,
-                            const std::vector<BucketId>& original_bucket,
-                            const std::vector<double>& gains,
-                            Partition* partition, MoveOutcome* outcome);
-
-  /// Emits the net executed moves (vertices whose post-repair bucket differs
-  /// from their pre-round bucket) into outcome->moves, ascending by vertex
-  /// id. Shared with the BSP master, which repairs via RepairBalance above.
-  static void CollectNetMoves(const std::vector<VertexId>& moved,
-                              const std::vector<BucketId>& original_bucket,
-                              const Partition& partition,
-                              MoveOutcome* outcome);
-
   /// Trims a drawn mover list to `budget` vertices (0 = unlimited): keeps
   /// the highest gains, ties broken on the lower vertex id, and restores
   /// ascending-by-vertex order on return. Deterministic for a fixed input.
-  /// Shared with the BSP master's superstep 4.
   static void TrimToBudget(uint64_t budget, const std::vector<double>& gains,
                            std::vector<VertexId>* movers);
+
+  /// Executes a round's drawn movers (ascending by vertex id): trims them to
+  /// `budget` (TrimToBudget), moves each to targets[v], reverts the
+  /// lowest-gain surplus arrivals of over-capacity buckets and emits the net
+  /// moves into outcome->moves. `original` is n-sized scratch of which only
+  /// the movers' slots are written and read. Shared by the drawing
+  /// strategies and the BSP master's superstep 4.
+  static void ExecuteMoves(const MoveTopology& topo, uint64_t budget,
+                           const std::vector<BucketId>& targets,
+                           const std::vector<double>& gains,
+                           std::vector<VertexId>* movers,
+                           std::vector<BucketId>* original,
+                           Partition* partition, MoveOutcome* outcome);
+
+  /// The superstep-4 draw of the histogram strategy for one round, shared
+  /// with the BSP master.
+  class HistogramDraw {
+   public:
+    HistogramDraw(const MoveBrokerOptions& options,
+                  const PairProbabilityTable& table, uint64_t seed,
+                  uint64_t iteration);
+
+    /// Whether vertex v, proposing `from` -> `target` with `gain`, moves.
+    /// Draw floor: a proposal whose pair row is all zero can never fire, so
+    /// it is skipped without a draw (the trajectory is unchanged). Every
+    /// other proposal adds one to *draws and draws against its matched
+    /// probability on the hash of (seed, iteration, v) — a pure function,
+    /// so the outcome does not depend on which worker draws.
+    bool Moves(VertexId v, BucketId from, BucketId target, double gain,
+               uint64_t* draws) const;
+
+   private:
+    const MoveBrokerOptions& options_;
+    const PairProbabilityTable& table_;
+    std::unordered_set<uint64_t> live_pairs_;
+    uint64_t seed_;
+    uint64_t iteration_;
+  };
 
  private:
   MoveOutcome ApplyPlain(const MoveTopology& topo,
@@ -189,34 +295,30 @@ class MoveBroker {
                                 uint64_t seed, uint64_t iteration,
                                 Partition* partition);
 
-  /// Re-derives vertex v's histogram contribution: removes the recorded old
-  /// (pair, bin) counter, adds the current one, and updates the live-proposal
-  /// tally. Idempotent (remove-new-then-add-new under duplicate calls).
-  void UpdateHistContribution(VertexId v, const std::vector<BucketId>& targets,
-                              const std::vector<double>& gains,
-                              const Partition& partition);
+  /// Reverts lowest-gain surplus moves of over-capacity buckets until every
+  /// bucket fits its capacity (or nothing is left to revert).
+  static void RepairBalance(const MoveTopology& topo,
+                            const std::vector<VertexId>& moved,
+                            const std::vector<BucketId>& original_bucket,
+                            const std::vector<double>& gains,
+                            Partition* partition, MoveOutcome* outcome);
+
+  /// Emits the net executed moves (vertices whose post-repair bucket differs
+  /// from their pre-round bucket) into outcome->moves, ascending by vertex
+  /// id.
+  static void CollectNetMoves(const std::vector<VertexId>& moved,
+                              const std::vector<BucketId>& original_bucket,
+                              const Partition& partition,
+                              MoveOutcome* outcome);
 
   MoveBrokerOptions options_;
 
-  /// hist_last_pair_ sentinel: the vertex currently contributes nowhere.
-  static constexpr uint64_t kNoPair = ~0ull;
-
-  /// Persistent per-pair histogram with a live-proposal tally so emptied
-  /// pairs can be pruned (mirrors BspRefiner's superstep-3 state).
-  struct PairState {
-    DirectedGainHistogram hist;
-    uint64_t total = 0;
-  };
-
-  // Incrementally maintained kHistogramMatching master state: per-pair
-  // histograms kept across rounds plus each vertex's last contribution
-  // (pair key / bin), so one changed proposal costs two counter updates
-  // instead of a term in an O(n) rebuild.
-  std::unordered_map<uint64_t, PairState> hist_state_;
-  std::vector<uint64_t> hist_last_pair_;  ///< kNoPair when not contributing
-  std::vector<int32_t> hist_last_bin_;
-  uint64_t hist_live_proposals_ = 0;
-  bool hist_state_valid_ = false;
+  // Incrementally maintained kHistogramMatching master state (valid while
+  // the caller keeps handing in changed-proposal lists).
+  PairHistograms hist_;
+  HistogramContributions contributions_;
+  bool hist_valid_ = false;
+  std::vector<BucketId> original_;  ///< ExecuteMoves scratch
 };
 
 }  // namespace shp

@@ -16,13 +16,15 @@
 
 namespace shp {
 
+/// Directed bucket-pair key (from << 32) | to: the key of this matrix, of
+/// the master's gain histograms and of its probability tables.
+inline uint64_t PackPair(BucketId from, BucketId to) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
+         static_cast<uint32_t>(to);
+}
+
 class ProposalMatrix {
  public:
-  static uint64_t PackPair(BucketId from, BucketId to) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
-           static_cast<uint32_t>(to);
-  }
-
   void Add(BucketId from, BucketId to, uint64_t count = 1) {
     counts_[PackPair(from, to)] += count;
   }

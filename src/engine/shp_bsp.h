@@ -43,6 +43,20 @@
 //      repair, and the next superstep 1 all touch O(moved) state instead of
 //      rescanning n-sized arrays.
 //
+// The per-vertex steps are the threaded engine's own code: superstep 2's
+// proposal is core/proposal.h's ProposalKernel (over the query replicas or
+// the accumulator replicas), and supersteps 3-4 run MoveBroker's
+// PairHistograms, HistogramDraw and ExecuteMoves. What this file adds is
+// the distribution: sharding, the superstep-1 fold, the superstep-2
+// exchange, per-worker work and traffic accounting, faults and checkpoints.
+//
+// The master always runs histogram matching (§3.4): the engine ignores
+// MoveBrokerOptions::strategy and RefinerOptions::exploration_probability,
+// so SHP-k (which sets a small exploration rate) follows a different
+// trajectory here than on the threaded Refiner. Every other broker option
+// (binning, damping, probability cap, capacity slack, draw floor, move
+// budget) applies.
+//
 // The implementation plugs into the SHP drivers through RefinerInterface, so
 // SHP-k and SHP-2/r run unmodified on top of it. All message and byte counts
 // are exact; engine/cost_model.h converts them into simulated cluster time.
@@ -71,13 +85,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/checkpoint.h"
 
-#include "core/gain_histogram.h"
+#include "core/move_broker.h"
 #include "core/move_topology.h"
+#include "core/proposal.h"
 #include "core/refiner.h"
 #include "engine/bsp_engine.h"
 #include "engine/message_router.h"
@@ -162,35 +176,6 @@ class BspRefiner : public RefinerInterface {
   Status RestoreLatestCheckpoint(Partition* partition);
 
  private:
-  /// last_pair_ sentinel: the vertex currently contributes to no histogram.
-  static constexpr uint64_t kNoPair = ~0ull;
-
-  /// Per-(bucket-pair) histogram kept alive across iterations on its worker;
-  /// `total` tracks live proposals so emptied pairs can be pruned from the
-  /// superstep-3 upload.
-  struct PairHistogram {
-    DirectedGainHistogram hist;
-    uint64_t total = 0;
-  };
-
-  /// True iff the cached proposals were computed under an identical
-  /// topology / anchor / scan-direction context.
-  bool ContextMatches(const MoveTopology& topo,
-                      const std::vector<BucketId>* anchor,
-                      double anchor_penalty, bool push) const;
-  void SnapshotContext(const MoveTopology& topo,
-                       const std::vector<BucketId>* anchor,
-                       double anchor_penalty, bool push);
-
-  /// Pull-path proposal of v from the query replicas (the reference scan;
-  /// shared tie-break and empty-window fallback with FindBestTargetPush).
-  /// Adds the sparse-affinity scan cost to *work.
-  GainComputer::BestTarget PullBestTarget(const MoveTopology& topo, VertexId v,
-                                          BucketId from,
-                                          std::vector<double>* affinity,
-                                          std::vector<BucketId>* touched,
-                                          uint64_t* work) const;
-
   // ---- fault-tolerant superstep protocol ----
 
   size_t LinkIndex(int src, int dst) const {
@@ -267,25 +252,18 @@ class BspRefiner : public RefinerInterface {
   FaultCounters counters_;
   std::unique_ptr<CheckpointManager> checkpoints_;
 
-  // Cached per-vertex proposals (clean vertices re-propose unchanged).
+  // Cached per-vertex proposals (clean vertices re-propose unchanged) and
+  // the topology / anchor / scan-direction context they were computed under.
   std::vector<BucketId> cached_target_;
   std::vector<double> cached_gain_;
   bool proposals_valid_ = false;
+  ProposalContext context_;
 
-  // Cached proposal context (proposals depend on these beyond the replicas).
-  MoveTopology cached_topo_;
-  bool has_cached_topo_ = false;
-  std::vector<BucketId> cached_anchor_;
-  bool cached_has_anchor_ = false;
-  double cached_anchor_penalty_ = 0.0;
-  bool cached_push_ = false;
-
-  // Incrementally maintained superstep-3 histograms plus each vertex's last
-  // contribution (pair key / bin), so one changed proposal costs two counter
-  // updates instead of an O(n) rebuild.
-  std::vector<std::unordered_map<uint64_t, PairHistogram>> worker_hist_;
-  std::vector<uint64_t> last_pair_;  ///< kNoPair when not contributing
-  std::vector<int32_t> last_bin_;
+  // Incrementally maintained superstep-3 histograms, one per worker (each
+  // uploads its own), plus each vertex's last contribution — one changed
+  // proposal costs two counter updates instead of an O(n) rebuild.
+  std::vector<PairHistograms> worker_hist_;
+  HistogramContributions contributions_;
   bool hist_valid_ = false;
 
   // Reusable per-iteration scratch (satellite of the delta-exchange work:
@@ -299,8 +277,7 @@ class BspRefiner : public RefinerInterface {
   std::vector<std::vector<VertexId>> mover_lists_;      ///< per data worker
   std::vector<VertexId> movers_;       ///< merged, ascending
   std::vector<BucketId> original_;     ///< pre-move bucket (mover slots only)
-  std::vector<std::vector<double>> pull_affinity_;   ///< per-worker scratch
-  std::vector<std::vector<BucketId>> pull_touched_;  ///< per-worker scratch
+  std::vector<ProposalScratch> scratch_;  ///< per-worker pull-scan scratch
 
   std::vector<SuperstepStats>* log_;
 };

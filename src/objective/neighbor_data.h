@@ -16,6 +16,7 @@
 // live volume.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -71,6 +72,15 @@ struct NeighborDelta {
   bool operator==(const NeighborDelta&) const = default;
 };
 
+/// n_b in one query's bucket-sorted entry list (0 if b is unoccupied).
+/// O(log fanout).
+inline uint32_t CountIn(std::span<const BucketCount> entries, BucketId b) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), b,
+      [](const BucketCount& e, BucketId bucket) { return e.bucket < bucket; });
+  return it != entries.end() && it->bucket == b ? it->count : 0;
+}
+
 class QueryNeighborData {
  public:
   QueryNeighborData() = default;
@@ -92,7 +102,9 @@ class QueryNeighborData {
   }
 
   /// n_b(q): count of q's neighbors in bucket b (0 if none). O(log fanout).
-  uint32_t CountFor(VertexId q, BucketId b) const;
+  uint32_t CountFor(VertexId q, BucketId b) const {
+    return CountIn(Entries(q), b);
+  }
 
   /// fanout(q) = number of occupied buckets.
   uint32_t Fanout(VertexId q) const { return loc_[q].size; }
